@@ -94,7 +94,9 @@ bench-service:
 # full-scale baselines on their dimensionless metrics (±20% relative by
 # default; the speedup floors are absolute because quick workloads batch
 # less, and the 100k-item sharded run is dominated by process startup —
-# see tools/benchcheck.py).  Fresh reports go to *_fresh.json so the
+# see tools/benchcheck.py).  The 8 KB kernel leg pins the small-memory
+# regime (33 frequent-part buckets): the array kernel must never lose to
+# the object kernel there.  Fresh reports go to *_fresh.json so the
 # baselines are never overwritten.
 benchcheck:
 	$(PYTHON) benchmarks/bench_ingest.py --quick --min-speedup 1.0 \
@@ -107,6 +109,8 @@ benchcheck:
 		--output BENCH_service_fresh.json
 	$(PYTHON) benchmarks/bench_kernel.py --quick --repeats 2 \
 		--min-speedup 1.5 --output BENCH_kernel_fresh.json
+	$(PYTHON) benchmarks/bench_kernel.py --quick --repeats 2 --memory-kb 8 \
+		--min-speedup 1.0 --output BENCH_kernel_8kb_fresh.json
 	$(PYTHON) -m tools.benchcheck BENCH_ingest_fresh.json \
 		--baseline BENCH_ingest.json --min speedup=1.4
 	$(PYTHON) -m tools.benchcheck BENCH_checkpoint_fresh.json \

@@ -33,7 +33,6 @@ from typing import Dict, List
 
 from _harness import Side, interleaved_best
 from repro.core import DaVinciConfig, DaVinciSketch
-from repro.core.kernel import HAVE_NUMPY
 from repro.core.serialization import to_state
 from repro.workloads import zipf_trace
 
@@ -123,7 +122,6 @@ def run(args: argparse.Namespace) -> Dict[str, object]:
             "memory_kb": args.memory_kb,
             "chunk_size": args.chunk_size,
         },
-        "numpy_available": HAVE_NUMPY,
         "object_kernel": {
             "seconds": obj.seconds,
             "items_per_second": object_rate,
@@ -202,10 +200,6 @@ def main(argv: List[str]) -> int:
         args.items = min(args.items, 100_000)
         args.flows = min(args.flows, 20_000)
         args.repeats = min(args.repeats, 2)
-
-    if not HAVE_NUMPY:
-        print("ERROR: numpy is unavailable; the array kernel cannot run")
-        return 1
 
     result = run(args)
     with open(args.output, "w", encoding="utf-8") as handle:

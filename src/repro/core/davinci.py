@@ -108,9 +108,8 @@ class DaVinciSketch(Sketch):
         self._obs_registry = metrics_registry
         #: resolved execution kernel for bulk ingestion ("object" or
         #: "array"); ``None`` consults REPRO_KERNEL and defaults to the
-        #: object kernel, degrading gracefully when numpy is absent.
-        #: Both kernels are byte-identical, so the choice is never part
-        #: of serialized state.
+        #: object kernel.  Both kernels are byte-identical, so the choice
+        #: is never part of serialized state.
         self.kernel: str = resolve_kernel(kernel)
         self.fp = FrequentPart(
             buckets=config.fp_buckets,
@@ -139,7 +138,10 @@ class DaVinciSketch(Sketch):
         #: entropy and the distribution estimator)
         self.total_count: int = 0
         self.mode: str = MODE_STANDARD
-        self._decode_cache: Optional[DecodeResult] = None
+        #: Algorithm 5's decode, memoized until the next write.  Private to
+        #: this class: every write path goes through :meth:`_commit_inserts`,
+        #: which drops it.
+        self.__decode_memo: Optional[DecodeResult] = None
 
     # ------------------------------------------------------------------ #
     # observability (free while disabled)
@@ -158,6 +160,23 @@ class DaVinciSketch(Sketch):
         bundle.inserts.inc(pairs)
         if units >= 0:
             bundle.items.inc(units)
+
+    def _commit_inserts(self, pairs: int, units: int) -> None:
+        """Account ``pairs`` accepted inserts of ``units`` total count.
+
+        Every write path (per-item, object chunk, array chunk) commits
+        here before touching the parts, so the decode memo cannot outlive
+        a write.
+        """
+        self.insertions += pairs
+        self.total_count += units
+        self.__decode_memo = None
+        if _obs.ENABLED:
+            self._record_inserts(pairs, units)
+
+    def _invalidate_decode(self) -> None:
+        """Drop the decode memo so the next query re-peels the IFP."""
+        self.__decode_memo = None
 
     def _timed_task(self, task: str, thunk: Callable[[], _T]) -> _T:
         """Run ``thunk`` under the per-task latency histogram when armed."""
@@ -218,11 +237,7 @@ class DaVinciSketch(Sketch):
         key = self.canonical_key(key)
         if _inv.ENABLED:
             _inv.check_counter_int(count, "DaVinciSketch.insert count")
-        self.insertions += 1
-        self.total_count += count
-        self._decode_cache = None
-        if _obs.ENABLED:
-            self._record_inserts(1, count)
+        self._commit_inserts(1, count)
 
         outcome = self.fp.insert(key, count)
         self.memory_accesses += outcome.accesses
@@ -268,7 +283,7 @@ class DaVinciSketch(Sketch):
         * demoted elements flow through level-hoisted, position-memoized
           element-filter offers (:meth:`ElementFilter.offer_batch`) and
           batched infrequent-part encodes with shared hash/sign caches;
-        * the decode cache is invalidated once per chunk, not per item.
+        * the decode memo is dropped once per chunk, not per item.
         """
         if self.mode != MODE_STANDARD:
             raise SketchModeError(
@@ -330,11 +345,8 @@ class DaVinciSketch(Sketch):
         # the per-item loop would have made), so throughput and AMA stay
         # comparable across ingestion paths; aggregation only changes the
         # number of structure touches, which ``memory_accesses`` reflects.
-        self.insertions += len(chunk)
-        self.total_count += chunk_total
-        self._decode_cache = None
+        self._commit_inserts(len(chunk), chunk_total)
         if _obs.ENABLED:
-            self._record_inserts(len(chunk), chunk_total)
             self._observe().kernel_chunks.counter_child(KERNEL_OBJECT).inc()
 
         demoted, accesses = self.fp.insert_batch(list(aggregated.items()))
@@ -380,17 +392,17 @@ class DaVinciSketch(Sketch):
         sketches no longer satisfy that invariant, so they rely on the
         (stronger in our 61-bit field) residue-consistency check alone.
         """
-        if self._decode_cache is None:
+        if self.__decode_memo is None:
             if _obs.ENABLED:
                 self._observe().cache_misses.inc()
             validator: Optional[Callable[[int], bool]] = None
             if self.mode == MODE_STANDARD:
                 threshold = self.ef.threshold
                 validator = lambda e: self.ef.query(e) >= threshold  # noqa: E731
-            self._decode_cache = self.ifp.decode(validator)
+            self.__decode_memo = self.ifp.decode(validator)
         elif _obs.ENABLED:
             self._observe().cache_hits.inc()
-        return self._decode_cache
+        return self.__decode_memo
 
     def decode_counts(self) -> Dict[int, int]:
         """The decoded ``{key: infrequent-part count}`` map."""

@@ -34,38 +34,31 @@ Design contract (the reason everything else composes unchanged):
   set operations, checkpointing, sharding and the service layer keep
   reading the object parts and never see an array.
 
-* **Graceful degradation.**  Without numpy (or for inputs outside the
-  fast path's domain — non-integer counts, overflow-risk magnitudes,
-  pathological bucket skew), chunks fall back to the object kernel's
-  ``_insert_chunk``, which *is* the identity baseline, so mixing paths
-  mid-stream is always exact.
+* **Exact fallback.**  Inputs outside the fast path's domain —
+  non-integer counts, overflow-risk magnitudes — and chunks whose rank
+  rounds carry too few keys to beat the object loop fall back to the
+  object kernel's ``_insert_chunk``, which *is* the identity baseline, so
+  mixing paths mid-stream is always exact.
 """
 
 from __future__ import annotations
 
 import os
-import warnings
 from typing import TYPE_CHECKING, Any, Dict, List, Optional, Tuple
 
+import numpy
+
 from repro.common import invariants as _inv
-from repro.common.errors import ConfigurationError, KernelFallbackWarning
+from repro.common.errors import ConfigurationError
 from repro.common.hashing import _GAMMA, mix64
 from repro.observability import metrics as _obs
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (types only)
     from repro.core.davinci import DaVinciSketch
 
-try:  # numpy is a declared dependency, but the kernel degrades without it
-    import numpy
-except ImportError:  # pragma: no cover - exercised by the no-numpy CI leg
-    numpy = None  # type: ignore[assignment]
-
-#: module-level alias typed ``Any`` so strict typing tolerates the
-#: optional import (numpy's own annotations are not part of our gate)
+#: module-level alias typed ``Any`` (numpy's own annotations are not
+#: part of our typing gate)
 np: Any = numpy
-
-#: True when the array kernel can actually run in this process
-HAVE_NUMPY: bool = np is not None
 
 KERNEL_OBJECT = "object"
 KERNEL_ARRAY = "array"
@@ -81,10 +74,12 @@ KERNEL_ENV_VAR = "REPRO_KERNEL"
 # through float64 first).  Below 2^52 the two agree bit-for-bit.
 _EXACT_LIMIT = 1 << 52
 
-# Rank-round blowup guard: a chunk whose worst bucket receives more than
-# this many distinct keys would spend more time on round bookkeeping than
-# the object loop spends inserting; hand it back instead.
-_MAX_FP_ROUNDS = 512
+# Rank-round break-even: every FP rank round pays a fixed numpy overhead
+# that the object loop pays per key instead, so a chunk whose rounds carry
+# fewer than this many keys on average (few buckets, or many keys piled
+# into one bucket) is cheaper on the object path; hand it back.  The
+# measured break-even on Zipf(1.1) chunks lies between 2 and 4 keys.
+_MIN_KEYS_PER_ROUND = 4
 
 # EF conflict rounds beyond this bound finish through the exact scalar
 # tail (same arithmetic, applied one offer at a time on the arrays).
@@ -92,14 +87,10 @@ _MAX_EF_ROUNDS = 64
 
 
 def resolve_kernel(requested: Optional[str]) -> str:
-    """Validate and resolve a kernel choice to an executable one.
+    """Validate a kernel choice.
 
     ``None`` consults the ``REPRO_KERNEL`` environment variable and
-    defaults to the object kernel.  Requesting the array kernel without
-    numpy degrades to the object kernel with a
-    :class:`~repro.common.errors.KernelFallbackWarning` rather than
-    failing — the two kernels are state-identical, so the fallback only
-    changes throughput.
+    defaults to the object kernel.
     """
     source = "kernel argument"
     if requested is None:
@@ -110,14 +101,6 @@ def resolve_kernel(requested: Optional[str]) -> str:
             f"unknown kernel {requested!r} (from {source}); "
             f"expected one of {VALID_KERNELS}"
         )
-    if requested == KERNEL_ARRAY and not HAVE_NUMPY:
-        warnings.warn(
-            "numpy is unavailable; falling back to the object kernel "
-            "(state-identical, slower bulk ingestion)",
-            KernelFallbackWarning,
-            stacklevel=3,
-        )
-        return KERNEL_OBJECT
     return requested
 
 
@@ -257,7 +240,11 @@ class ArrayKernelEngine:
     def ingest_chunk(self, chunk: List[Tuple[object, int]]) -> None:
         """Ingest one chunk, byte-identically to ``sketch._insert_chunk``."""
         try:
-            prepared = self._prepare(chunk)
+            prepared = None
+            # a round carries at most one key per bucket, so a sketch with
+            # fewer buckets never reaches the break-even: skip the prep
+            if self.sketch.fp.num_buckets >= _MIN_KEYS_PER_ROUND:
+                prepared = self._prepare(chunk)
             if prepared is not None and not self._loaded and not self._load():
                 prepared = None
             if prepared is None:
@@ -268,7 +255,7 @@ class ArrayKernelEngine:
             if not self._vector_chunk(
                 chunk, keys_arr, counts_arr, chunk_total
             ):
-                # rank-round blowup detected before any mutation
+                # too few keys per rank round, detected before any mutation
                 self.flush()
                 self.sketch._insert_chunk(chunk)
         except BaseException:
@@ -389,17 +376,14 @@ class ArrayKernelEngine:
             group_starts, group_sizes
         )
         max_rank = int(ranks.max())
-        if max_rank >= _MAX_FP_ROUNDS:
+        if n_agg < _MIN_KEYS_PER_ROUND * (max_rank + 1):
             return False
 
         # Counter updates mirror _insert_chunk exactly, and only after the
         # chunk is committed to the array path.
-        sketch.insertions += len(chunk)
-        sketch.total_count += total
-        sketch._decode_cache = None
+        sketch._commit_inserts(len(chunk), total)
         observing = _obs.ENABLED
         if observing:
-            sketch._record_inserts(len(chunk), total)
             sketch._observe().kernel_chunks.counter_child(KERNEL_ARRAY).inc()
 
         dem_pos, dem_key, dem_cnt = self._fp_rounds(

@@ -43,11 +43,12 @@ wrong-but-plausible sketch.
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import json
 import warnings
 import zlib
-from typing import Any, Dict, List, Optional, Tuple, Union
+from typing import Any, Dict, List, Optional, Tuple, Union, get_type_hints
 
 from repro.common.errors import (
     ConfigurationError,
@@ -72,18 +73,18 @@ DEFAULT_DIGEST_ALGO = "sha256"
 #: the sketch's decodable key domain (matches ``InfrequentPart.max_key``)
 _MAX_KEY = 1 << 32
 
-#: required config fields and the JSON types they must arrive as
-_CONFIG_FIELDS: Tuple[Tuple[str, Tuple[type, ...], str], ...] = (
-    ("fp_buckets", (int,), "an integer"),
-    ("fp_entries", (int,), "an integer"),
-    ("ef_level_widths", (list, tuple), "a list of integers"),
-    ("ef_level_bits", (list, tuple), "a list of integers"),
-    ("ifp_rows", (int,), "an integer"),
-    ("ifp_width", (int,), "an integer"),
-    ("lambda_evict", (int, float), "a number"),
-    ("filter_threshold", (int,), "an integer"),
-    ("prime", (int,), "an integer"),
-    ("seed", (int,), "an integer"),
+#: accepted JSON types and their description, per DaVinciConfig field type
+_JSON_SHAPES: Dict[Any, Tuple[Tuple[type, ...], str]] = {
+    int: ((int,), "an integer"),
+    float: ((int, float), "a number"),
+    Tuple[int, ...]: ((list, tuple), "a list of integers"),
+}
+
+#: required config fields and the JSON types they must arrive as, derived
+#: from DaVinciConfig in declaration order (which is the state's key order)
+_CONFIG_FIELDS: Tuple[Tuple[str, Tuple[type, ...], str], ...] = tuple(
+    (field.name,) + _JSON_SHAPES[get_type_hints(DaVinciConfig)[field.name]]
+    for field in dataclasses.fields(DaVinciConfig)
 )
 
 
@@ -169,20 +170,11 @@ def to_state(
     Emits wire-format version 2: the payload plus an embedded integrity
     digest (``sha256`` by default; ``crc32`` for checkpoint-rate signing).
     """
-    config = sketch.config
     state: Dict[str, Any] = {
         "version": STATE_VERSION,
         "config": {
-            "fp_buckets": config.fp_buckets,
-            "fp_entries": config.fp_entries,
-            "ef_level_widths": list(config.ef_level_widths),
-            "ef_level_bits": list(config.ef_level_bits),
-            "ifp_rows": config.ifp_rows,
-            "ifp_width": config.ifp_width,
-            "lambda_evict": config.lambda_evict,
-            "filter_threshold": config.filter_threshold,
-            "prime": config.prime,
-            "seed": config.seed,
+            name: list(value) if isinstance(value, tuple) else value
+            for name, value in dataclasses.asdict(sketch.config).items()
         },
         "mode": sketch.mode,
         "total_count": sketch.total_count,
@@ -231,7 +223,8 @@ def _parse_config(state: Dict[str, Any]) -> DaVinciConfig:
                 f"config field {name!r} must be {described}, "
                 f"got {type(value).__name__} ({value!r})"
             )
-    for name in ("ef_level_widths", "ef_level_bits"):
+    sequences = [name for name, types, _d in _CONFIG_FIELDS if list in types]
+    for name in sequences:
         for element in raw[name]:
             if not _is_int(element):
                 raise ConfigurationError(
@@ -241,16 +234,10 @@ def _parse_config(state: Dict[str, Any]) -> DaVinciConfig:
     # semantic validation (positivity, primality, level shapes) happens in
     # DaVinciConfig.__post_init__ and also raises ConfigurationError
     return DaVinciConfig(
-        fp_buckets=raw["fp_buckets"],
-        fp_entries=raw["fp_entries"],
-        ef_level_widths=tuple(raw["ef_level_widths"]),
-        ef_level_bits=tuple(raw["ef_level_bits"]),
-        ifp_rows=raw["ifp_rows"],
-        ifp_width=raw["ifp_width"],
-        lambda_evict=raw["lambda_evict"],
-        filter_threshold=raw["filter_threshold"],
-        prime=raw["prime"],
-        seed=raw["seed"],
+        **{
+            name: tuple(raw[name]) if name in sequences else raw[name]
+            for name, _types, _described in _CONFIG_FIELDS
+        }
     )
 
 
@@ -305,6 +292,11 @@ def _verify_frequent_part(
             raise StateCorruptionError(
                 f"frequent-part bucket {index} ecnt {ecnt} is negative — "
                 "counter corruption"
+            )
+        flag = bucket_state.get("flag")
+        if not isinstance(flag, bool) and flag not in (0, 1):
+            raise ConfigurationError(
+                f"frequent-part bucket {index} flag must be boolean, got {flag!r}"
             )
 
 
@@ -491,7 +483,6 @@ def from_state(
     sketch.ifp.ids = [list(row) for row in ifp_state["ids"]]
     sketch.ifp.counts = [list(row) for row in ifp_state["counts"]]
 
-    sketch._decode_cache = None
     return sketch
 
 

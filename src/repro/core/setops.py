@@ -128,7 +128,6 @@ def _union_value(a: DaVinciSketch, b: DaVinciSketch) -> DaVinciSketch:
             result.ef.add(key, absorbed)
             if count > absorbed:
                 result.ifp.insert(key, count - absorbed)
-    result._decode_cache = None
     return result
 
 
@@ -186,5 +185,4 @@ def _difference_value(a: DaVinciSketch, b: DaVinciSketch) -> DaVinciSketch:
             # Signed counts bypass the filter's (unsigned) threshold
             # pipeline and are encoded exactly into the infrequent part.
             result.ifp.insert(key, count)
-    result._decode_cache = None
     return result

@@ -71,6 +71,8 @@ from typing import (
     Union,
 )
 
+import numpy as _np
+
 from repro.common.errors import (
     ConfigurationError,
     ShardFailureError,
@@ -86,13 +88,6 @@ from repro.observability import metrics as _obs
 from repro.observability.instruments import ShardedMetrics
 from repro.observability.metrics import MetricsRegistry
 from repro.runtime.ingestor import CheckpointingIngestor
-
-try:  # numpy is a declared dependency (workload generation); routing
-    # merely borrows it for a vectorized fast path and falls back to the
-    # scalar loop wherever it is absent or the input does not qualify
-    import numpy as _np
-except ImportError:  # pragma: no cover - present in every supported env
-    _np = None  # type: ignore[assignment]
 
 __all__ = ["ShardRouter", "ShardedIngestor", "merge_tree"]
 
@@ -760,11 +755,7 @@ class ShardedIngestor:
         for shard in range(n):
             if self._buffer_counts[shard] is not None:
                 self._dispatch(shard)
-        if (
-            _np is not None
-            and type(keys) is list
-            and len(keys) >= _VECTOR_MIN_KEYS
-        ):
+        if type(keys) is list and len(keys) >= _VECTOR_MIN_KEYS:
             parts = _vector_partition(keys, n)
             if parts is not None:
                 return self._ingest_partitioned(parts)

@@ -17,7 +17,7 @@ core DaVinci sketch and the fifteen baselines uniformly:
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from typing import Dict, Iterable, List, Tuple
+from typing import Dict, Iterable, List, Optional, Tuple
 
 
 class MemoryModel:
@@ -120,11 +120,39 @@ class MergeableSketch(FrequencySketch):
 
 
 class InvertibleSketch(MergeableSketch):
-    """A sketch whose content can be decoded back to ``{key: count}``."""
+    """A sketch whose content can be decoded back to ``{key: count}``.
 
-    @abstractmethod
+    Decoding peels the whole structure, so its result is memoized until
+    the next write.  This class owns the memo: subclasses supply only the
+    per-item :meth:`_update` and the raw :meth:`_peel`, and every write
+    goes through :meth:`insert`, which drops the memo.
+    """
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.__decode_memo: Optional[Dict[int, int]] = None
+
+    def insert(self, key: int, count: int = 1) -> None:
+        self.__decode_memo = None
+        self._update(key, count)
+
+    def query(self, key: int) -> int:
+        """Point query via full decode (0 when the key is unrecoverable)."""
+        return self.decode().get(key, 0)
+
     def decode(self) -> Dict[int, int]:
         """Recover the (signed) keyed counts stored in the sketch."""
+        if self.__decode_memo is None:
+            self.__decode_memo = self._peel()
+        return self.__decode_memo
+
+    @abstractmethod
+    def _update(self, key: int, count: int) -> None:
+        """Record ``count`` occurrences of ``key`` (the per-item write)."""
+
+    @abstractmethod
+    def _peel(self) -> Dict[int, int]:
+        """Decode from scratch, leaving the structure unchanged."""
 
 
 class InnerProductSketch(Sketch):

@@ -50,7 +50,6 @@ class FermatSketch(InvertibleSketch):
         self._hashes = HashFamily(rows, width, seed=seed ^ 0xFE12)
         self.ids: List[List[int]] = [[0] * width for _ in range(rows)]
         self.counts: List[List[int]] = [[0] * width for _ in range(rows)]
-        self._decode_cache: Optional[Dict[int, int]] = None
 
     @classmethod
     def from_memory(
@@ -67,10 +66,9 @@ class FermatSketch(InvertibleSketch):
     # ------------------------------------------------------------------ #
     # stream operations
     # ------------------------------------------------------------------ #
-    def insert(self, key: int, count: int = 1) -> None:
+    def _update(self, key: int, count: int) -> None:
         self.insertions += 1
         self.memory_accesses += self.rows
-        self._decode_cache = None
         if not 1 <= key < self.max_key:
             raise ConfigurationError(
                 f"key {key} outside the decodable domain [1, {self.max_key})"
@@ -80,10 +78,6 @@ class FermatSketch(InvertibleSketch):
             j = self._hashes.index(row, key)
             self.ids[row][j] = (self.ids[row][j] + count * key) % p
             self.counts[row][j] += count
-
-    def query(self, key: int) -> int:
-        """Point query via full decode (Fermat sketches have no fast path)."""
-        return self.decode().get(key, 0)
 
     # ------------------------------------------------------------------ #
     # decoding
@@ -103,19 +97,17 @@ class FermatSketch(InvertibleSketch):
             return None
         return candidate, icnt
 
-    def decode(self) -> Dict[int, int]:
+    def _peel(self) -> Dict[int, int]:
         """Peel every pure bucket; returns ``{key: signed count}``.
 
         Non-destructive.  With load below the peeling threshold
         (≈ 1.2 buckets per element at d = 3) decoding is complete with
         high probability; beyond it, only the recoverable part returns.
+        Point queries read through :meth:`decode` (no fast path).
         """
-        if self._decode_cache is not None:
-            return self._decode_cache
         snapshot = ([row[:] for row in self.ids], [row[:] for row in self.counts])
         try:
-            self._decode_cache = self._decode_in_place()
-            return self._decode_cache
+            return self._decode_in_place()
         finally:
             self.ids, self.counts = snapshot
 

@@ -76,7 +76,6 @@ class FlowRadar(InvertibleSketch):
         )
         self.bloom: List[bool] = [False] * filter_bits
         self.cells: List[_Cell] = [_Cell() for _ in range(cells)]
-        self._decode_cache: Dict[int, int] | None = None
 
     @classmethod
     def from_memory(
@@ -105,12 +104,11 @@ class FlowRadar(InvertibleSketch):
         for i in range(self._FILTER_HASHES):
             self.bloom[self._filter_hashes.index(i, key)] = True
 
-    def insert(self, key: int, count: int = 1) -> None:
+    def _update(self, key: int, count: int) -> None:
         if key < 1:
             raise ConfigurationError("FlowRadar keys must be positive integers")
         self.insertions += 1
         self.memory_accesses += self._FILTER_HASHES
-        self._decode_cache = None
         is_new = not self._bloom_contains(key)
         if is_new:
             self._bloom_add(key)
@@ -122,22 +120,16 @@ class FlowRadar(InvertibleSketch):
                 cell.flow_count += 1
             cell.packet_count += count
 
-    def query(self, key: int) -> int:
-        """Point query via full decode (0 when the flow is unrecoverable)."""
-        return self.decode().get(key, 0)
-
     # ------------------------------------------------------------------ #
     # decoding
     # ------------------------------------------------------------------ #
-    def decode(self) -> Dict[int, int]:
+    def _peel(self) -> Dict[int, int]:
         """Peel pure cells (``|FlowCount| == 1``); non-destructive.
 
         Works on differences too: a subtracted table carries FlowCount −1
         cells for flows only present in the subtrahend; their packet counts
         decode with negative sign.
         """
-        if self._decode_cache is not None:
-            return self._decode_cache
         xors = [cell.flow_xor for cell in self.cells]
         fcounts = [cell.flow_count for cell in self.cells]
         pcounts = [cell.packet_count for cell in self.cells]
@@ -171,7 +163,6 @@ class FlowRadar(InvertibleSketch):
                 pcounts[j] -= packets
                 if fcounts[j] in (1, -1):
                     queue.append(j)
-        self._decode_cache = result
         return result
 
     # ------------------------------------------------------------------ #

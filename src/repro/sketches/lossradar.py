@@ -46,7 +46,6 @@ class LossRadar(InvertibleSketch):
         self.count: List[int] = [0] * cells
         self.key_sum: List[int] = [0] * cells
         self.check_sum: List[int] = [0] * cells
-        self._decode_cache: Optional[Dict[int, int]] = None
 
     @classmethod
     def from_memory(cls, memory_bytes: float, hashes: int = 3, seed: int = 1):
@@ -57,22 +56,17 @@ class LossRadar(InvertibleSketch):
     # ------------------------------------------------------------------ #
     # stream operations
     # ------------------------------------------------------------------ #
-    def insert(self, key: int, count: int = 1) -> None:
+    def _update(self, key: int, count: int) -> None:
         if key < 1:
             raise ConfigurationError("LossRadar keys must be positive integers")
         self.insertions += 1
         self.memory_accesses += self.num_hashes
-        self._decode_cache = None
         check = hash64(key, _CHECK_SEED)
         for i in range(self.num_hashes):
             j = self._hashes.index(i, key)
             self.count[j] += count
             self.key_sum[j] += key * count
             self.check_sum[j] += check * count
-
-    def query(self, key: int) -> int:
-        """Point query via decode (LossRadar is a pure difference decoder)."""
-        return self.decode().get(key, 0)
 
     # ------------------------------------------------------------------ #
     # decoding
@@ -96,10 +90,8 @@ class LossRadar(InvertibleSketch):
             return None
         return key
 
-    def decode(self) -> Dict[int, int]:
+    def _peel(self) -> Dict[int, int]:
         """Peel pure cells; returns ``{key: signed count}``; non-destructive."""
-        if self._decode_cache is not None:
-            return self._decode_cache
         snapshot = (self.count[:], self.key_sum[:], self.check_sum[:])
         try:
             result: Dict[int, int] = {}
@@ -123,7 +115,6 @@ class LossRadar(InvertibleSketch):
                     self.check_sum[cell] -= check * count
                     if self.count[cell] != 0:
                         queue.append(cell)
-            self._decode_cache = result
             return result
         finally:
             self.count, self.key_sum, self.check_sum = snapshot

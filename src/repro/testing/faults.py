@@ -162,11 +162,11 @@ def forced_peel_stall(
         keep_partial=keep_partial,
         residual_buckets=residual_buckets,
     )
-    sketch._decode_cache = None
+    sketch._invalidate_decode()
     ifp.decode = stalled_decode  # type: ignore[method-assign]
     try:
         yield sketch
     finally:
         del ifp.decode  # restore the class-level method
-        sketch._decode_cache = None
+        sketch._invalidate_decode()
         sink.emit("fault.peel_stall.exit")

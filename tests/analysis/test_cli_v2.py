@@ -63,7 +63,7 @@ def test_exit_two_on_parse_error(tmp_path):
 def test_list_rules_exits_zero(capsys):
     assert main(["--list-rules", "ignored.py"]) == 0
     out = capsys.readouterr().out
-    for code in ("SK001", "SK101", "SK102", "SK103", "SK104", "SK105"):
+    for code in ("SK001", "SK102", "SK104", "SK105"):
         assert code in out
 
 

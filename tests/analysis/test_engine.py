@@ -20,7 +20,7 @@ def test_all_rules_have_distinct_codes_and_summaries():
     codes = [cls.code for cls in ALL_RULES]
     assert codes == [
         "SK001", "SK002", "SK003", "SK004", "SK005",
-        "SK101", "SK102", "SK103", "SK104", "SK105",
+        "SK102", "SK104", "SK105",
         "SK201", "SK202", "SK203", "SK204", "SK205", "SK206",
     ]
     assert len(set(codes)) == len(codes)

@@ -89,8 +89,8 @@ def test_all_registered_rules_appear_as_descriptors():
     log = json.loads(render_sarif(LintReport(), _all_rules()))
     ids = {rule["id"] for rule in log["runs"][0]["tool"]["driver"]["rules"]}
     assert {cls.code for cls in ALL_RULES} <= ids
-    # the five v2 interprocedural rules specifically
-    assert {"SK101", "SK102", "SK103", "SK104", "SK105"} <= ids
+    # the v2 interprocedural rules specifically
+    assert {"SK102", "SK104", "SK105"} <= ids
 
 
 def test_fingerprints_are_content_addressed(tmp_path):

@@ -77,23 +77,6 @@ def test_self_attributes_collect_all_assignment_forms():
     assert set(cls.methods) == {"__init__", "insert", "annotate"}
 
 
-def test_classes_with_attribute_filters_by_self_assignment():
-    index = _index(
-        a="""
-        class Cached:
-            def __init__(self):
-                self._decode_cache = None
-        """,
-        b="""
-        class Plain:
-            def __init__(self):
-                self.table = []
-        """,
-    )
-    owners = [c.name for c in index.classes_with_attribute("_decode_cache")]
-    assert owners == ["Cached"]
-
-
 def test_module_function_is_scoped_to_one_file():
     index = _index(
         a="def shared():\n    return 1\n",

@@ -1,4 +1,4 @@
-"""Kernel selection, fallback and cross-kernel reconstruction.
+"""Kernel selection and cross-kernel reconstruction.
 
 The array kernel is a pure execution strategy: it must never leak into
 serialized state, it must be selectable per-constructor and per-process
@@ -7,16 +7,12 @@ reconstruct into either — the regression scenario here is the
 object → array → object round trip through ``from_state``/``from_wire``.
 """
 
-import warnings
-
 import pytest
 
-from repro.common.errors import ConfigurationError, KernelFallbackWarning
+from repro.common.errors import ConfigurationError
 from repro.core import DaVinciConfig, DaVinciSketch
-from repro.core import kernel as kernel_mod
 from repro.core import serialization
 from repro.core.kernel import (
-    HAVE_NUMPY,
     KERNEL_ARRAY,
     KERNEL_ENV_VAR,
     KERNEL_OBJECT,
@@ -48,19 +44,12 @@ class TestResolveKernel:
 
     def test_explicit_choices(self):
         assert resolve_kernel(KERNEL_OBJECT) == KERNEL_OBJECT
-        expected = KERNEL_ARRAY if HAVE_NUMPY else KERNEL_OBJECT
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", KernelFallbackWarning)
-            assert resolve_kernel(KERNEL_ARRAY) == expected
+        assert resolve_kernel(KERNEL_ARRAY) == KERNEL_ARRAY
 
     def test_env_var_applies_when_unspecified(self, monkeypatch):
         monkeypatch.setenv(KERNEL_ENV_VAR, KERNEL_ARRAY)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", KernelFallbackWarning)
-            resolved = resolve_kernel(None)
-            sketch = DaVinciSketch(make_config())
-        assert resolved in (KERNEL_ARRAY, KERNEL_OBJECT)
-        assert sketch.kernel == resolved
+        assert resolve_kernel(None) == KERNEL_ARRAY
+        assert DaVinciSketch(make_config()).kernel == KERNEL_ARRAY
 
     def test_explicit_argument_beats_env_var(self, monkeypatch):
         monkeypatch.setenv(KERNEL_ENV_VAR, KERNEL_ARRAY)
@@ -77,25 +66,7 @@ class TestResolveKernel:
         monkeypatch.setenv(KERNEL_ENV_VAR, "")
         assert resolve_kernel(None) == KERNEL_OBJECT
 
-    def test_fallback_warns_without_numpy(self, monkeypatch):
-        monkeypatch.setattr(kernel_mod, "HAVE_NUMPY", False)
-        with pytest.warns(KernelFallbackWarning):
-            assert resolve_kernel(KERNEL_ARRAY) == KERNEL_OBJECT
 
-    def test_sketch_degrades_without_numpy(self, monkeypatch):
-        monkeypatch.setattr(kernel_mod, "HAVE_NUMPY", False)
-        with pytest.warns(KernelFallbackWarning):
-            sketch = DaVinciSketch(make_config(), kernel=KERNEL_ARRAY)
-        assert sketch.kernel == KERNEL_OBJECT
-        sketch.insert_batch(stream(), chunk_size=64)
-        reference = DaVinciSketch(make_config(), kernel=KERNEL_OBJECT)
-        reference.insert_batch(stream(), chunk_size=64)
-        assert serialization.to_state(sketch) == serialization.to_state(
-            reference
-        )
-
-
-@pytest.mark.skipif(not HAVE_NUMPY, reason="array kernel needs numpy")
 class TestCrossKernelReconstruction:
     """States carry no kernel marker; any kernel can load any state."""
 

@@ -157,6 +157,23 @@ class TestValidation:
         with pytest.raises(ConfigurationError, match="mode"):
             from_state(sign_state(state))
 
+    def test_every_written_key_is_required(self, loaded_sketch):
+        # from_state must read every key to_state writes: a state missing
+        # any one of them (re-signed, so the digest passes) is rejected
+        state = to_state(loaded_sketch)
+        sections = (
+            state,
+            state["config"],
+            state["infrequent_part"],
+            state["frequent_part"][0],
+        )
+        for section in sections:
+            for key in [key for key in section if key != "digest"]:
+                value = section.pop(key)
+                with pytest.raises(ConfigurationError):
+                    from_state(sign_state(state))
+                section[key] = value
+
     def test_missing_mode_is_rejected(self, sketch):
         state = to_state(sketch)
         del state["mode"]

@@ -6,23 +6,13 @@ eviction counters and flags, EF level counters and IFP residues all
 included.  Hypothesis drives randomized interleavings of ``insert``,
 ``insert_batch``, ``query`` and ``union`` through both kernels and
 requires the serialized states to match byte for byte.
-
-These tests are skipped when numpy is unavailable (the array kernel then
-degrades to the object kernel, which ``tests/core/test_kernel.py``
-covers separately).
 """
 
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import DaVinciConfig, DaVinciSketch
-from repro.core.kernel import HAVE_NUMPY
 from repro.core.serialization import to_state
-
-pytestmark = pytest.mark.skipif(
-    not HAVE_NUMPY, reason="array kernel needs numpy"
-)
 
 keys = st.integers(min_value=1, max_value=60)
 counts = st.integers(min_value=1, max_value=40)

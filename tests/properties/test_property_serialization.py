@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import DaVinciConfig, DaVinciSketch, from_state, to_state
+from repro.core.serialization import to_wire
 
 streams = st.lists(
     st.integers(min_value=1, max_value=200), min_size=0, max_size=400
@@ -36,17 +37,24 @@ class TestSerializationProperties:
         for key in set(stream) | {9999}:
             assert twin.query(key) == sketch.query(key)
 
-    @given(stream=streams)
+    @given(left=streams, right=streams)
     @settings(max_examples=30, deadline=None)
-    def test_state_is_json_stable(self, stream):
-        """Serializing the deserialized sketch reproduces the same state."""
-        sketch = make_sketch()
-        sketch.insert_all(stream)
-        once = to_state(sketch)
-        twice = to_state(from_state(once))
-        assert json.dumps(once, sort_keys=True) == json.dumps(
-            twice, sort_keys=True
-        )
+    def test_state_is_json_stable(self, left, right):
+        """Serializing the deserialized sketch reproduces the same state.
+
+        Covers all three query modes: a directly built sketch (standard),
+        a union result (additive) and a difference result (signed).  Every
+        key ``to_state`` writes must survive ``from_state``, so both the
+        state dicts and the ``to_wire`` bytes (key order included) match.
+        """
+        a, b = make_sketch(), make_sketch()
+        a.insert_all(left)
+        b.insert_all(right)
+        for sketch in (a, a.union(b), a.difference(b)):
+            once = to_state(sketch)
+            twin = from_state(once)
+            assert to_state(twin) == once
+            assert to_wire(twin) == to_wire(sketch)
 
     @given(left=streams, right=streams)
     @settings(max_examples=25, deadline=None)

@@ -11,7 +11,6 @@ import pytest
 from repro.common.errors import ConfigurationError
 from repro.core.config import DaVinciConfig
 from repro.core.davinci import DaVinciSketch
-from repro.core.kernel import HAVE_NUMPY
 from repro.runtime import ShardedIngestor, ShardRouter, merge_tree
 
 CHUNK = 1024
@@ -47,7 +46,6 @@ class TestShardedKernelValidation:
             ShardedIngestor(small_config(), 2, kernel="simd")
 
 
-@pytest.mark.skipif(not HAVE_NUMPY, reason="array kernel needs numpy")
 class TestShardedArrayKernelIdentity:
     def test_merged_state_matches_object_kernel_fold(self):
         config = small_config()

@@ -6,7 +6,8 @@ A *rule* is an object with a ``code`` (``SK001`` ...), a one-line
 (subclasses of :class:`PackageRule`) additionally see the whole batch of
 files at once through :meth:`PackageRule.check_package` — the
 :class:`PackageContext` carries a :class:`~tools.sketchlint.symbols.SymbolIndex`
-so interprocedural rules (SK101–SK105) can resolve calls across files.
+so interprocedural rules (SK102, SK104, SK105) can resolve calls across
+files.
 The engine owns everything rules should not have to care about: file
 discovery, source parsing, per-line suppression pragmas, result caching
 and report aggregation.
@@ -280,7 +281,8 @@ def lint_source(
     """Lint a source string; returns the (pragma-filtered) violations.
 
     Package-level rules are supported by treating the single source as a
-    one-file package — exactly how the fixture tests exercise SK101–SK105.
+    one-file package — exactly how the fixture tests exercise SK102,
+    SK104 and SK105.
     """
     active = _resolve_rules(rules)
     tree = ast.parse(source, filename=path)

@@ -1,7 +1,7 @@
 """Rule registry: one module per checker, discovered statically.
 
-SK001–SK005 are the original per-file syntactic passes; SK101–SK105 are
-the CFG/dataflow generation (interprocedural contract rules built on
+SK001–SK005 are the original per-file syntactic passes; SK102, SK104 and
+SK105 are the CFG/dataflow generation (interprocedural contract rules built on
 :mod:`tools.sketchlint.cfg`, :mod:`tools.sketchlint.dataflow` and
 :mod:`tools.sketchlint.symbols`); SK201–SK206 are the concurrency pack
 built on the :mod:`tools.sketchlint.lockgraph` lock-order model.
@@ -17,9 +17,7 @@ from tools.sketchlint.rules.sk002_rng import InjectedRngRule
 from tools.sketchlint.rules.sk003_exceptions import ExceptionDisciplineRule
 from tools.sketchlint.rules.sk004_merge_safety import MergeSafetyRule
 from tools.sketchlint.rules.sk005_hot_path import HotPathPurityRule
-from tools.sketchlint.rules.sk101_decode_cache import DecodeCacheInvalidationRule
 from tools.sketchlint.rules.sk102_obs_guard import ObsGuardRule
-from tools.sketchlint.rules.sk103_state_symmetry import StateSymmetryRule
 from tools.sketchlint.rules.sk104_field_flow import FieldFlowRule
 from tools.sketchlint.rules.sk105_policy_threading import PolicyThreadingRule
 from tools.sketchlint.rules.sk201_lock_order import LockOrderCycleRule
@@ -37,7 +35,7 @@ from tools.sketchlint.rules.sk206_record_under_lock import RecordUnderLockRule
 #: rule upgrade invalidates every cached finding even when the package
 #: sources look unchanged (e.g. an installed wheel with frozen mtimes).
 #: Bump on any behavior change to a rule or to the shared models.
-RULE_PACK_VERSION = "3.0.0"
+RULE_PACK_VERSION = "4.0.0"
 
 ALL_RULES: List[Type[Rule]] = [
     FieldArithmeticRule,
@@ -45,9 +43,7 @@ ALL_RULES: List[Type[Rule]] = [
     ExceptionDisciplineRule,
     MergeSafetyRule,
     HotPathPurityRule,
-    DecodeCacheInvalidationRule,
     ObsGuardRule,
-    StateSymmetryRule,
     FieldFlowRule,
     PolicyThreadingRule,
     LockOrderCycleRule,
@@ -73,9 +69,7 @@ __all__ = [
     "ExceptionDisciplineRule",
     "MergeSafetyRule",
     "HotPathPurityRule",
-    "DecodeCacheInvalidationRule",
     "ObsGuardRule",
-    "StateSymmetryRule",
     "FieldFlowRule",
     "PolicyThreadingRule",
     "LockOrderCycleRule",

@@ -16,9 +16,11 @@ constructs are banned there:
   *constants* (decay bases and the like) remain fine — only literals
   inside the method body are flagged.
 
-Scope: methods named ``insert`` or ``update`` defined inside a class
-(``insert_all`` batch helpers are deliberately out of scope — they may
-amortize allocations across items).  Abstract declarations are skipped.
+Scope: methods named ``insert`` or ``update`` defined inside a class,
+plus ``_update`` — the per-item hook :class:`InvertibleSketch.insert`
+delegates to (``insert_all`` batch helpers are deliberately out of scope
+— they may amortize allocations across items).  Abstract declarations
+are skipped.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ from typing import Iterator
 
 from tools.sketchlint.engine import FileContext, Rule, Violation
 
-HOT_METHOD_NAMES = frozenset({"insert", "update"})
+HOT_METHOD_NAMES = frozenset({"insert", "update", "_update"})
 
 _COMPREHENSIONS = (ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp)
 

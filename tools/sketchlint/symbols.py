@@ -6,8 +6,7 @@ One pass over every file being linted collects:
   :class:`FunctionInfo` records carrying the AST node, the owning class
   (if any) and the parameter list;
 * per class, the set of ``self.<attr>`` names assigned anywhere in its
-  methods (SK101 uses this to find the classes that own a
-  ``_decode_cache``).
+  methods.
 
 Lookup is by simple name — the package under analysis is small and its
 style keeps function names unique per purpose (``to_state``,
@@ -190,9 +189,3 @@ class SymbolIndex:
     def all_functions(self) -> Iterator[FunctionInfo]:
         for infos in self._functions_by_name.values():
             yield from infos
-
-    def classes_with_attribute(self, attribute: str) -> Iterator[ClassInfo]:
-        """Classes whose methods assign ``self.<attribute>`` anywhere."""
-        for cls_info in self.all_classes():
-            if attribute in cls_info.self_attributes:
-                yield cls_info
